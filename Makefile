@@ -12,12 +12,13 @@ check:
 profile:
 	./scripts/profile.sh $(BENCHTIME)
 
-# bench refreshes BENCH_PR9.json: the two key benchmarks with -benchmem,
-# the simulated-ns-per-wall-ns figure of merit, the fabric core-scaling
-# curve at -p 1/2/8, and `psbench all` wall time at -j 1 vs -j $(nproc).
-# Pass BENCHTIME to trade precision for speed (default 10x).
+# bench runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json) once per workload: seed 1, 20 s, untraced. Each run
+# prints one report line; perfbench/README.md explains the metrics.
 bench:
-	./scripts/bench.sh $(BENCHTIME)
+	for w in ipv4-64B ipsec-1514B ipv4-route-flap leafspine-l128; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 build:
 	go build ./...

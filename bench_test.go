@@ -96,19 +96,20 @@ func BenchmarkRouterIPv4GPU(b *testing.B) {
 // at 1, 2 and 8 partition workers. The result bytes are identical for
 // every worker count — CI enforces that — so the ns/op spread is the
 // pure core-scaling curve of the windowed world scheduler. On a
-// single-core host the curve is flat; scripts/bench.sh records it with
-// the host's core count in BENCH_PR10.json either way.
+// single-core host the curve is flat.
 func BenchmarkFabricWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("p%d", workers), func(b *testing.B) {
 			cfg := cluster.FabricConfig{
-				Cluster: cluster.Config{
-					Nodes:              16,
-					ExternalGbps:       40,
-					NodeForwardingGbps: 40,
-					InternalLinkGbps:   10,
+				Topo: &cluster.FullMesh{
+					Cluster: cluster.Config{
+						Nodes:              16,
+						ExternalGbps:       40,
+						NodeForwardingGbps: 40,
+						InternalLinkGbps:   10,
+					},
+					Scheme: cluster.VLB,
 				},
-				Scheme:      cluster.VLB,
 				Matrix:      cluster.Uniform(16, 200),
 				LinkLatency: 50 * sim.Microsecond,
 				Horizon:     50 * sim.Millisecond,
@@ -127,7 +128,7 @@ func BenchmarkFabricWorkers(b *testing.B) {
 // BenchmarkLeafSpineScale measures the leaf–spine fabric's host cost as
 // the node count grows: 16, 64 and 128 leaves with a proportional spine
 // tier, Zipf flows, 5 ms of virtual time, serial partition advance.
-// This is the scale-frontier curve of the timer-wheel scheduler and the
+// This is the scale-frontier curve of the event heap and the
 // dirty-link window barrier — the 128-leaf row is a 144-partition world
 // with 8,192 links.
 func BenchmarkLeafSpineScale(b *testing.B) {

@@ -38,15 +38,8 @@ type FlowModel struct {
 
 // FabricConfig describes one fabric run.
 type FabricConfig struct {
-	// Cluster supplies the full-mesh capacities: Nodes, ExternalGbps,
-	// NodeForwardingGbps, InternalLinkGbps. Ignored when Topo is set.
-	Cluster Config
-	// Scheme is Direct or VLB for the full mesh. (DirectVLB's spill
-	// decision needs global link-occupancy knowledge and is left to
-	// the analytic model.) Ignored when Topo is set.
-	Scheme Routing
-	// Topo overrides the interconnect; nil means the full mesh built
-	// from Cluster and Scheme.
+	// Topo is the interconnect and its routing, e.g. a *FullMesh or a
+	// *LeafSpine. Required.
 	Topo Topology
 	// Matrix is the offered load, Gbps entering external node i
 	// destined to external node j.
@@ -180,7 +173,7 @@ func zipfDraw(cum []float64, rng *uint64) int {
 func RunFabric(cfg FabricConfig) (FabricResult, error) {
 	topo := cfg.Topo
 	if topo == nil {
-		topo = &FullMesh{Cluster: cfg.Cluster, Scheme: cfg.Scheme}
+		return FabricResult{}, fmt.Errorf("fabric: no topology")
 	}
 	if err := topo.Validate(); err != nil {
 		return FabricResult{}, err

@@ -1,9 +1,22 @@
+// Package ipsec implements the data path of PacketShader's IPsec
+// gateway (§6.2.4): ESP tunnel-mode encapsulation with AES-128 in CTR
+// mode (RFC 3686) for confidentiality and HMAC-SHA1-96 (RFC 2404) for
+// authentication. The host-side cryptography is the Go standard
+// library's; it only has to be correct, because simulated time comes
+// from the cost descriptors in internal/model (the per-16-byte-block AES
+// and per-packet SHA-1 GPU kernel and the CPU cycles per byte), never
+// from how long this code takes to run.
 package ipsec
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha1"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
+	"hash"
 
 	"packetshader/internal/packet"
 )
@@ -15,6 +28,9 @@ const (
 	// espAlign is the trailer alignment for AES-CTR payloads.
 	espAlign = 4
 )
+
+// ICVSize is the truncated authenticator length used by ESP (RFC 2404).
+const ICVSize = 12
 
 // Decap errors.
 var (
@@ -30,23 +46,33 @@ type SA struct {
 	LocalIP packet.IPv4Addr // outer source on encap
 	PeerIP  packet.IPv4Addr // outer destination on encap
 
-	aes   *AES
-	hmac  *HMACSHA1
+	block cipher.Block // AES-128
+	mac   hash.Hash    // HMAC-SHA1, reset per packet
 	nonce uint32
+	// Scratch for ctr and icv: locals handed to the interface methods
+	// above would escape, costing allocations on every packet.
+	ctrBlock, ks [aes.BlockSize]byte
+	sum          [sha1.Size]byte
 
 	seq    uint32 // outbound sequence counter
 	replay replayWindow
 }
 
 // NewSA creates an SA with a 16-byte AES key and an arbitrary-length
-// HMAC key. nonce is the RFC 3686 per-SA salt.
+// HMAC key. nonce is the RFC 3686 per-SA salt. It panics on any other
+// encryption key length: keys come from the SA configuration, not the
+// wire.
 func NewSA(spi, nonce uint32, encKey, authKey []byte, local, peer packet.IPv4Addr) *SA {
+	block, err := aes.NewCipher(encKey)
+	if err != nil || len(encKey) != 16 {
+		panic("ipsec: AES-128 key must be 16 bytes")
+	}
 	return &SA{
 		SPI:     spi,
 		LocalIP: local,
 		PeerIP:  peer,
-		aes:     NewAES(encKey),
-		hmac:    NewHMACSHA1(authKey),
+		block:   block,
+		mac:     hmac.New(sha1.New, authKey),
 		nonce:   nonce,
 	}
 }
@@ -113,10 +139,10 @@ func (sa *SA) Encap(dst, inner []byte) ([]byte, error) {
 	pt[padded+1] = 4
 
 	// Encrypt in place.
-	sa.aes.CTR(pt, pt, sa.nonce, iv)
+	sa.ctr(pt, iv)
 
 	// ICV over ESP header through trailer.
-	icv := sa.hmac.ICV(esp[:espHdrLen+espIVLen+padded+2])
+	icv := sa.icv(esp[:espHdrLen+espIVLen+padded+2])
 	copy(body[padded+2:], icv[:])
 	return out, nil
 }
@@ -143,7 +169,7 @@ func (sa *SA) Decap(outer []byte) ([]byte, error) {
 
 	authed := payload[:len(payload)-ICVSize]
 	wantICV := payload[len(payload)-ICVSize:]
-	icv := sa.hmac.ICV(authed)
+	icv := sa.icv(authed)
 	if subtle.ConstantTimeCompare(icv[:], wantICV) != 1 {
 		return nil, ErrAuth
 	}
@@ -152,7 +178,7 @@ func (sa *SA) Decap(outer []byte) ([]byte, error) {
 
 	iv := binary.BigEndian.Uint64(payload[8:16])
 	ct := authed[espHdrLen+espIVLen:]
-	sa.aes.CTR(ct, ct, sa.nonce, iv)
+	sa.ctr(ct, iv)
 
 	padB := int(ct[len(ct)-2])
 	next := ct[len(ct)-1]
@@ -160,6 +186,30 @@ func (sa *SA) Decap(outer []byte) ([]byte, error) {
 		return nil, ErrMalformed
 	}
 	return ct[:len(ct)-2-padB], nil
+}
+
+// ctr applies the AES-CTR keystream for iv to buf in place. The
+// counter block follows RFC 3686: nonce(4) | iv(8) | counter(4), with
+// the counter starting at 1. (cipher.NewCTR would allocate a stream per
+// packet.)
+func (sa *SA) ctr(buf []byte, iv uint64) {
+	binary.BigEndian.PutUint32(sa.ctrBlock[0:4], sa.nonce)
+	binary.BigEndian.PutUint64(sa.ctrBlock[4:12], iv)
+	for ctr := uint32(1); len(buf) > 0; ctr++ {
+		binary.BigEndian.PutUint32(sa.ctrBlock[12:16], ctr)
+		sa.block.Encrypt(sa.ks[:], sa.ctrBlock[:])
+		n := subtle.XORBytes(buf, buf, sa.ks[:])
+		buf = buf[n:]
+	}
+}
+
+// icv returns the HMAC-SHA1 of msg truncated to 96 bits (RFC 2404).
+func (sa *SA) icv(msg []byte) [ICVSize]byte {
+	sa.mac.Reset()
+	sa.mac.Write(msg)
+	var out [ICVSize]byte
+	copy(out[:], sa.mac.Sum(sa.sum[:0]))
+	return out
 }
 
 // ---------------------------------------------------------------------------

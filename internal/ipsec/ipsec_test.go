@@ -2,10 +2,11 @@ package ipsec
 
 import (
 	"bytes"
-	stdaes "crypto/aes"
+	"crypto/aes"
 	"crypto/cipher"
-	stdhmac "crypto/hmac"
-	stdsha1 "crypto/sha1"
+	"crypto/hmac"
+	"crypto/sha1"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
@@ -15,79 +16,60 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// AES
+// Crypto helpers: the wire format of the keystream and the ICV
 // ---------------------------------------------------------------------------
 
-func TestAESFIPS197Vector(t *testing.T) {
-	// FIPS-197 appendix C.1.
-	key, _ := hex.DecodeString("000102030405060708090a0b0c0d0e0f")
-	pt, _ := hex.DecodeString("00112233445566778899aabbccddeeff")
-	want, _ := hex.DecodeString("69c4e0d86a7b0430d8cdb78070b4c55a")
-	a := NewAES(key)
-	got := make([]byte, 16)
-	a.Encrypt(got, pt)
-	if !bytes.Equal(got, want) {
-		t.Errorf("AES = %x, want %x", got, want)
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
-func TestAESMatchesStdlib(t *testing.T) {
-	f := func(key [16]byte, block [16]byte) bool {
-		ours := NewAES(key[:])
-		std, err := stdaes.NewCipher(key[:])
-		if err != nil {
-			return false
+// TestCTRRFC3686Vectors: the SA's keystream is AES-128-CTR over the
+// RFC 3686 counter block (nonce | IV | counter from 1), checked against
+// the RFC's §6 test vectors #1-#3.
+func TestCTRRFC3686Vectors(t *testing.T) {
+	cases := []struct {
+		key, nonce, iv, pt, ct string
+	}{
+		{"ae6852f8121067cc4bf7a5765577f39e", "00000030", "0000000000000000",
+			"53696e676c6520626c6f636b206d7367",
+			"e4095d4fb7a7b3792d6175a3261311b8"},
+		{"7e24067817fae0d743d6ce1f32539163", "006cb6db", "c0543b59da48d90b",
+			"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+			"5104a106168a72d9790d41ee8edad388eb2e1efc46da57c8fce630df9141be28"},
+		{"7691be035e5020a8ac6e618529f9a0dc", "00e0017b", "27777f3f4a1786f0",
+			"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223",
+			"c1cf48a89f2ffdd9cf4652e9efdb72d74540a42bde6d7836d59a5ceaaef3105325b2072f"},
+	}
+	for i, c := range cases {
+		nonce := binary.BigEndian.Uint32(mustHex(t, c.nonce))
+		iv := binary.BigEndian.Uint64(mustHex(t, c.iv))
+		sa := NewSA(1, nonce, mustHex(t, c.key), []byte("k"), 0, 0)
+		buf := mustHex(t, c.pt)
+		sa.ctr(buf, iv)
+		if got := hex.EncodeToString(buf); got != c.ct {
+			t.Errorf("vector #%d: ciphertext %s, want %s", i+1, got, c.ct)
 		}
-		a, b := make([]byte, 16), make([]byte, 16)
-		ours.Encrypt(a, block[:])
-		std.Encrypt(b, block[:])
-		return bytes.Equal(a, b)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAESInPlace(t *testing.T) {
-	key := make([]byte, 16)
-	a := NewAES(key)
-	buf := make([]byte, 16)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	want := make([]byte, 16)
-	a.Encrypt(want, buf)
-	a.Encrypt(buf, buf) // aliased
-	if !bytes.Equal(buf, want) {
-		t.Error("in-place encryption differs")
-	}
-}
-
-func TestAESKeyLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewAES(15 bytes) did not panic")
-		}
-	}()
-	NewAES(make([]byte, 15))
 }
 
 func TestCTRMatchesStdlib(t *testing.T) {
 	f := func(key [16]byte, nonce uint32, iv uint64, data []byte) bool {
-		if len(data) == 0 {
-			return true
-		}
-		ours := NewAES(key[:])
-		got := make([]byte, len(data))
-		ours.CTR(got, data, nonce, iv)
+		sa := NewSA(1, nonce, key[:], []byte("k"), 0, 0)
+		got := bytes.Clone(data)
+		sa.ctr(got, iv)
 
-		std, _ := stdaes.NewCipher(key[:])
+		block, _ := aes.NewCipher(key[:])
 		var ctrBlock [16]byte
 		binary.BigEndian.PutUint32(ctrBlock[0:4], nonce)
 		binary.BigEndian.PutUint64(ctrBlock[4:12], iv)
 		binary.BigEndian.PutUint32(ctrBlock[12:16], 1)
 		want := make([]byte, len(data))
-		cipher.NewCTR(std, ctrBlock[:]).XORKeyStream(want, data)
+		cipher.NewCTR(block, ctrBlock[:]).XORKeyStream(want, data)
 		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -97,137 +79,129 @@ func TestCTRMatchesStdlib(t *testing.T) {
 
 func TestCTRRoundTrip(t *testing.T) {
 	f := func(key [16]byte, nonce uint32, iv uint64, data []byte) bool {
-		a := NewAES(key[:])
-		ct := make([]byte, len(data))
-		a.CTR(ct, data, nonce, iv)
-		pt := make([]byte, len(data))
-		a.CTR(pt, ct, nonce, iv)
-		return bytes.Equal(pt, data)
+		sa := NewSA(1, nonce, key[:], []byte("k"), 0, 0)
+		buf := bytes.Clone(data)
+		sa.ctr(buf, iv)
+		sa.ctr(buf, iv)
+		return bytes.Equal(buf, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// SHA-1 / HMAC
-// ---------------------------------------------------------------------------
-
-func TestSHA1KnownVectors(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
-		{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
-		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-			"84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
-	}
-	for _, c := range cases {
-		got := SHA1Digest([]byte(c.in))
-		if hex.EncodeToString(got[:]) != c.want {
-			t.Errorf("SHA1(%q) = %x, want %s", c.in, got, c.want)
-		}
+func TestAESKeyLengthPanics(t *testing.T) {
+	for _, n := range []int{0, 15, 24, 32} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSA with a %d-byte encryption key did not panic", n)
+				}
+			}()
+			NewSA(1, 1, make([]byte, n), []byte("k"), 0, 0)
+		}()
 	}
 }
 
-func TestSHA1MillionA(t *testing.T) {
-	s := NewSHA1()
-	chunk := bytes.Repeat([]byte{'a'}, 1000)
-	for i := 0; i < 1000; i++ {
-		s.Write(chunk)
-	}
-	got := hex.EncodeToString(s.Sum(nil))
-	if got != "34aa973cd4c4daa4f61eeb2bdbad27316534016f" {
-		t.Errorf("SHA1(1M 'a') = %s", got)
-	}
-}
-
-func TestSHA1MatchesStdlibStreaming(t *testing.T) {
-	f := func(chunks [][]byte) bool {
-		ours := NewSHA1()
-		std := stdsha1.New()
-		for _, c := range chunks {
-			ours.Write(c)
-			std.Write(c)
-		}
-		return bytes.Equal(ours.Sum(nil), std.Sum(nil))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+// rfc2202ICV checks the SA's ICV against RFC 2202 HMAC-SHA1 digests
+// truncated to 96 bits (RFC 2404).
+func rfc2202ICV(t *testing.T, key, data []byte, digest string) {
+	t.Helper()
+	sa := NewSA(1, 1, make([]byte, 16), key, 0, 0)
+	icv := sa.icv(data)
+	if got, want := hex.EncodeToString(icv[:]), digest[:2*ICVSize]; got != want {
+		t.Errorf("key %x: ICV %s, want %s", key, got, want)
 	}
 }
 
-func TestSHA1SumDoesNotConsumeState(t *testing.T) {
-	s := NewSHA1()
-	s.Write([]byte("hello "))
-	first := s.Sum(nil)
-	second := s.Sum(nil)
-	if !bytes.Equal(first, second) {
-		t.Error("repeated Sum differs")
-	}
-	s.Write([]byte("world"))
-	want := SHA1Digest([]byte("hello world"))
-	if !bytes.Equal(s.Sum(nil), want[:]) {
-		t.Error("state corrupted by Sum")
-	}
-}
-
+// TestHMACSHA1RFC2202Vectors: RFC 2202 test cases 1-5.
 func TestHMACSHA1RFC2202Vectors(t *testing.T) {
-	cases := []struct{ key, data, want string }{
-		{"0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b", "4869205468657265",
-			"b617318655057264e28bc0b6fb378c8ef146be00"},
-		{"4a656665", "7768617420646f2079612077616e7420666f72206e6f7468696e673f",
-			"effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"},
+	key4 := make([]byte, 25)
+	for i := range key4 {
+		key4[i] = byte(i + 1)
 	}
-	for i, c := range cases {
-		key, _ := hex.DecodeString(c.key)
-		data, _ := hex.DecodeString(c.data)
-		h := NewHMACSHA1(key)
-		got := h.Sum(data)
-		if hex.EncodeToString(got[:]) != c.want {
-			t.Errorf("vector %d: %x, want %s", i, got, c.want)
-		}
-	}
+	rfc2202ICV(t, bytes.Repeat([]byte{0x0b}, 20), []byte("Hi There"),
+		"b617318655057264e28bc0b6fb378c8ef146be00")
+	rfc2202ICV(t, []byte("Jefe"), []byte("what do ya want for nothing?"),
+		"effcdf6ae5eb2fa2d27416d5f184df9c259a7c79")
+	rfc2202ICV(t, bytes.Repeat([]byte{0xaa}, 20), bytes.Repeat([]byte{0xdd}, 50),
+		"125d7342b9ac11cd91a39af48aa17b4f63f175d3")
+	rfc2202ICV(t, key4, bytes.Repeat([]byte{0xcd}, 50),
+		"4c9007f4026250c6bc8414f9bf50c86c2d7235da")
+	rfc2202ICV(t, bytes.Repeat([]byte{0x0c}, 20), []byte("Test With Truncation"),
+		"4c1a03424b55e07fe7f27be1d58bb9324a9a5a04")
 }
 
+// TestHMACLongKey: RFC 2202 test cases 6-7, whose 80-byte keys exceed
+// the SHA-1 block size and must be hashed first.
+func TestHMACLongKey(t *testing.T) {
+	key := bytes.Repeat([]byte{0xaa}, 80)
+	rfc2202ICV(t, key, []byte("Test Using Larger Than Block-Size Key - Hash Key First"),
+		"aa4ae5e15272d00e95705637ce8a3b55ed402112")
+	rfc2202ICV(t, key, []byte("Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"),
+		"e8e99d0f45237d786d6bbaa7965c7808bbff1a91")
+}
+
+// TestHMACMatchesStdlib: the ICV is the first 96 bits of HMAC-SHA1 for
+// any key and message.
 func TestHMACMatchesStdlib(t *testing.T) {
 	f := func(key, data []byte) bool {
-		ours := NewHMACSHA1(key)
-		got := ours.Sum(data)
-		std := stdhmac.New(stdsha1.New, key)
-		std.Write(data)
-		return bytes.Equal(got[:], std.Sum(nil))
+		sa := NewSA(1, 1, make([]byte, 16), key, 0, 0)
+		icv := sa.icv(data)
+		mac := hmac.New(sha1.New, key)
+		mac.Write(data)
+		return bytes.Equal(icv[:], mac.Sum(nil)[:ICVSize])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestHMACLongKey(t *testing.T) {
-	key := bytes.Repeat([]byte{0xaa}, 80) // > block size, must be hashed
-	ours := NewHMACSHA1(key)
-	std := stdhmac.New(stdsha1.New, key)
-	std.Write([]byte("msg"))
-	got := ours.Sum([]byte("msg"))
-	if !bytes.Equal(got[:], std.Sum(nil)) {
-		t.Error("long-key HMAC differs from stdlib")
-	}
-}
-
+// TestHMACContextReusable: the SA reuses one HMAC state for every
+// packet; an earlier message must not leak into a later ICV.
 func TestHMACContextReusable(t *testing.T) {
-	h := NewHMACSHA1([]byte("key"))
-	a1 := h.Sum([]byte("one"))
-	_ = h.Sum([]byte("two"))
-	a2 := h.Sum([]byte("one"))
-	if a1 != a2 {
-		t.Error("HMAC context not reusable")
+	sa := NewSA(1, 1, make([]byte, 16), []byte("key"), 0, 0)
+	a1 := sa.icv([]byte("one"))
+	_ = sa.icv([]byte("two"))
+	if a2 := sa.icv([]byte("one")); a1 != a2 {
+		t.Error("HMAC state not reset between ICVs")
 	}
 }
 
-func TestICVTruncation(t *testing.T) {
-	h := NewHMACSHA1([]byte("k"))
-	full := h.Sum([]byte("m"))
-	icv := h.ICV([]byte("m"))
-	if !bytes.Equal(icv[:], full[:12]) {
-		t.Error("ICV is not the 96-bit truncation")
+// TestEncapGolden pins the ESP wire format byte for byte: the SHA-256
+// over every Encap output for four SAs (auth keys of 20 to 110 bytes)
+// and inner sizes 20..1500 in steps of 7, each round-tripped through
+// Decap. The digest was recorded from the implementation that the
+// RFC 3686 and RFC 2202 vectors above also pin.
+func TestEncapGolden(t *testing.T) {
+	const want = "2c834c84f3798cbd42478462b44742067e1d1b0b3faca44acbabb28cc042df76"
+	digest := sha256.New()
+	dst := make([]byte, 2048)
+	for i := 0; i < 4; i++ {
+		enc := bytes.Repeat([]byte{byte(0x11 * (i + 1))}, 16)
+		auth := bytes.Repeat([]byte{byte(0xa0 + i)}, 20+30*i)
+		spi, nonce := uint32(0x100+i), 0x9e3779b9*uint32(i+1)
+		local, peer := packet.IPv4Addr(0x0A000001+i), packet.IPv4Addr(0x0A010001+i)
+		sender := NewSA(spi, nonce, enc, auth, local, peer)
+		receiver := NewSA(spi, nonce, enc, auth, local, peer)
+		for size := 20; size <= 1500; size += 7 {
+			inner := make([]byte, size)
+			for j := range inner {
+				inner[j] = byte(j*31 + i)
+			}
+			outer, err := sender.Encap(dst, inner)
+			if err != nil {
+				t.Fatalf("SA %d size %d: %v", i, size, err)
+			}
+			digest.Write(outer) // Decap decrypts in place
+			got, err := receiver.Decap(outer)
+			if err != nil || !bytes.Equal(got, inner) {
+				t.Fatalf("SA %d size %d: round trip failed (err %v)", i, size, err)
+			}
+		}
+	}
+	if got := hex.EncodeToString(digest.Sum(nil)); got != want {
+		t.Errorf("Encap golden digest %s, want %s", got, want)
 	}
 }
 
@@ -470,24 +444,6 @@ func TestReplayWindowUnit(t *testing.T) {
 	w.advance(99)
 	if w.check(99) {
 		t.Error("seq 99 accepted twice")
-	}
-}
-
-func BenchmarkAESCTR1500B(b *testing.B) {
-	a := NewAES(make([]byte, 16))
-	buf := make([]byte, 1500)
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		a.CTR(buf, buf, 1, uint64(i))
-	}
-}
-
-func BenchmarkHMACSHA1_1500B(b *testing.B) {
-	h := NewHMACSHA1([]byte("key"))
-	buf := make([]byte, 1500)
-	b.SetBytes(1500)
-	for i := 0; i < b.N; i++ {
-		_ = h.ICV(buf)
 	}
 }
 

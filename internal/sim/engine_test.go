@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // TestSameInstantWakeupFIFO: processes whose wakeups land on the same
 // instant run in the order the wakeups were scheduled (seq order), for
@@ -235,5 +240,277 @@ func TestRingWraparound(t *testing.T) {
 	pop(3)
 	if r.Len() != 0 {
 		t.Fatalf("ring not empty: %d", r.Len())
+	}
+}
+
+// refQueue is the ordering oracle for the event store: a plain slice
+// kept sorted by (at, seq), each push inserted at its binary-searched
+// position.
+type refQueue []event
+
+func (q *refQueue) push(ev event) {
+	i, _ := slices.BinarySearchFunc(*q, ev, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
+	*q = slices.Insert(*q, i, ev)
+}
+
+func (q refQueue) min() event { return q[0] }
+
+func (q *refQueue) pop() event {
+	ev := (*q)[0]
+	*q = (*q)[1:]
+	return ev
+}
+
+// TestEventHeapMatchesSortedSlice: random interleavings of pushes
+// (quantized offsets to force same-instant ties, plus far-future times)
+// and pops must yield the exact same (at, seq) sequence from the heap
+// and from the sorted-slice oracle, with peekAt agreeing before every
+// pop.
+func TestEventHeapMatchesSortedSlice(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		var h eventHeap
+		var ref refQueue
+		rng := uint64(trial)*0x5851f42d4c957f2d + 1
+		now := Time(0)
+		var seq uint64
+		step := func(what string) {
+			t.Helper()
+			want := ref.min()
+			if at, ok := h.peekAt(); !ok || at != want.at {
+				t.Fatalf("trial %d %s: peekAt = (%d, %v), oracle min %d", trial, what, at, ok, want.at)
+			}
+			he, re := h.pop(), ref.pop()
+			if he.at != re.at || he.seq != re.seq {
+				t.Fatalf("trial %d %s: heap popped (at=%d seq=%d), oracle (at=%d seq=%d)",
+					trial, what, he.at, he.seq, re.at, re.seq)
+			}
+			now = he.at
+		}
+		for op := 0; op < 4000; op++ {
+			if len(ref) == 0 || splitmix64(&rng)%3 != 0 {
+				n := 1 + int(splitmix64(&rng)%4)
+				for i := 0; i < n; i++ {
+					var off Time
+					switch splitmix64(&rng) % 8 {
+					case 0, 1, 2, 3:
+						// Quantized near offsets: collisions at one instant
+						// are common.
+						off = Time(1+splitmix64(&rng)%8) * 1000
+					case 4, 5:
+						off = Time(1 + splitmix64(&rng)%1_000_000)
+					case 6:
+						off = Time(1<<40) + Time(splitmix64(&rng)%4)*1000
+					default:
+						off = Time(1<<61) + Time(splitmix64(&rng)%2)
+					}
+					seq++
+					ev := event{at: now + off, seq: seq}
+					h.push(ev)
+					ref.push(ev)
+				}
+			} else {
+				step("interleaved")
+			}
+		}
+		for len(ref) > 0 {
+			step("drain")
+		}
+		if _, ok := h.peekAt(); ok || len(h) != 0 {
+			t.Fatalf("trial %d: heap holds %d events after drain", trial, len(h))
+		}
+	}
+}
+
+// refSched mirrors Env's event loop semantics on the sorted-slice
+// oracle: same clamp-to-now rule, same imm ring for same-instant
+// schedules, same stored-before-imm rule at one instant, same horizon
+// behavior. TestEnvMatchesReferenceScheduler runs identical callback
+// programs through a real Env and through this, and compares execution
+// logs.
+type refSched struct {
+	now     Time
+	seq     uint64
+	pending refQueue
+	imm     Ring[event]
+}
+
+func (r *refSched) schedule(at Time, fn func()) {
+	if at < r.now {
+		at = r.now
+	}
+	r.seq++
+	ev := event{at: at, seq: r.seq, fn: fn}
+	if at == r.now {
+		r.imm.PushBack(ev)
+		return
+	}
+	r.pending.push(ev)
+}
+
+func (r *refSched) run(until Time) {
+	for {
+		var ev event
+		switch {
+		case len(r.pending) > 0 && r.pending.min().at == r.now:
+			ev = r.pending.pop()
+		case r.imm.Len() > 0:
+			ev = r.imm.PopFront()
+		case len(r.pending) > 0:
+			if until > 0 && r.pending.min().at > until {
+				r.now = until
+				return
+			}
+			ev = r.pending.pop()
+		default:
+			return
+		}
+		r.now = ev.at
+		ev.fn()
+	}
+}
+
+// schedProgram is a deterministic self-scheduling callback workload:
+// each executed callback logs (now, id) and schedules 0–2 children at
+// offsets drawn from its id-seeded generator — zero offsets (imm path),
+// near offsets (tie-heavy), and far-future offsets. Because a
+// callback's behavior depends only on its id, identical execution
+// orders produce identical logs, and any ordering divergence between the
+// two schedulers cascades into a log difference.
+type schedProgram struct {
+	log    []string
+	issued int
+	limit  int
+	seed   uint64
+	sched  func(at Time, fn func())
+	nowFn  func() Time
+}
+
+func (pr *schedProgram) spawn(id int) func() {
+	return func() {
+		now := pr.nowFn()
+		pr.log = append(pr.log, fmt.Sprintf("t=%d id=%d", now, id))
+		rng := pr.seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15
+		kids := int(splitmix64(&rng) % 3)
+		for k := 0; k < kids && pr.issued < pr.limit; k++ {
+			var off Time
+			switch splitmix64(&rng) % 6 {
+			case 0:
+				off = 0 // same instant: imm ring
+			case 1, 2:
+				off = Time(splitmix64(&rng)%5) * 700 // near, tie-prone (may be 0)
+			case 3:
+				off = Time(1 + splitmix64(&rng)%1_000_000)
+			case 4:
+				off = Time(1<<41) + Time(splitmix64(&rng)%3)*500
+			default:
+				off = Time(1<<61) + Time(splitmix64(&rng)%2)
+			}
+			id2 := pr.issued
+			pr.issued++
+			pr.sched(now+off, pr.spawn(id2))
+		}
+	}
+}
+
+func (pr *schedProgram) seedRoots(roots int) {
+	rng := pr.seed
+	for i := 0; i < roots; i++ {
+		at := Time(splitmix64(&rng) % 3000)
+		id := pr.issued
+		pr.issued++
+		pr.sched(at, pr.spawn(id))
+	}
+}
+
+// TestEnvMatchesReferenceScheduler runs randomized self-scheduling
+// programs through an Env and the sorted-slice reference scheduler and
+// requires byte-identical execution logs — including same-instant imm
+// interleavings, horizon-bounded runs that strand far-future events,
+// and Close on the still-populated Env afterwards.
+func TestEnvMatchesReferenceScheduler(t *testing.T) {
+	for trial := 0; trial < 12; trial++ {
+		seed := uint64(trial)*0x9e3779b97f4a7c15 + 7
+		// Odd trials stop at a mid-run horizon, leaving the far-future
+		// events stranded; even trials run to completion.
+		var horizon Time
+		if trial%2 == 1 {
+			horizon = Time(1 << 42)
+		}
+
+		env := NewEnv()
+		pe := &schedProgram{limit: 300, seed: seed, sched: env.At, nowFn: env.Now}
+		pe.seedRoots(8)
+		env.Run(horizon)
+		envNow := env.Now()
+		envNext, envPending := env.NextEventAt()
+		env.Close() // may still hold far-future events
+		env.Close() // idempotent
+
+		ref := &refSched{}
+		pr := &schedProgram{limit: 300, seed: seed, sched: ref.schedule, nowFn: func() Time { return ref.now }}
+		pr.seedRoots(8)
+		ref.run(horizon)
+
+		if len(pe.log) != len(pr.log) {
+			t.Fatalf("trial %d: env executed %d callbacks, reference %d", trial, len(pe.log), len(pr.log))
+		}
+		for i := range pe.log {
+			if pe.log[i] != pr.log[i] {
+				t.Fatalf("trial %d: execution logs diverge at step %d: env %q, reference %q",
+					trial, i, pe.log[i], pr.log[i])
+			}
+		}
+		if envNow != ref.now {
+			t.Fatalf("trial %d: env clock %d, reference %d", trial, envNow, ref.now)
+		}
+		refPending := len(ref.pending) > 0
+		if envPending != refPending {
+			t.Fatalf("trial %d: env pending=%v, reference pending=%v", trial, envPending, refPending)
+		}
+		if envPending && envNext != ref.pending.min().at {
+			t.Fatalf("trial %d: env NextEventAt %d, reference min %d", trial, envNext, ref.pending.min().at)
+		}
+	}
+}
+
+// TestEnvNextEventAtEdgeCases covers the peek path the window scheduler
+// depends on: empty environment, far-future events, repeated peeks, an
+// earlier push displacing the minimum, the imm fast path, and a horizon
+// run that leaves the far event pending.
+func TestEnvNextEventAtEdgeCases(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	if at, ok := env.NextEventAt(); ok {
+		t.Fatalf("empty env: NextEventAt = (%d, true), want none", at)
+	}
+	far := Time(1<<61) + 12345
+	env.At(far, func() {})
+	for i := 0; i < 3; i++ { // repeated peeks must not drift
+		if at, ok := env.NextEventAt(); !ok || at != far {
+			t.Fatalf("peek %d: NextEventAt = (%d, %v), want (%d, true)", i, at, ok, far)
+		}
+	}
+	near := Time(1000)
+	env.At(near, func() {}) // strictly earlier: becomes the minimum
+	if at, ok := env.NextEventAt(); !ok || at != near {
+		t.Fatalf("after near push: NextEventAt = (%d, %v), want (%d, true)", at, ok, near)
+	}
+	env.At(0, func() {}) // at == now: imm ring, reported at the current instant
+	if at, ok := env.NextEventAt(); !ok || at != 0 {
+		t.Fatalf("with imm pending: NextEventAt = (%d, %v), want (0, true)", at, ok)
+	}
+	if end := env.Run(Time(2000)); end != Time(2000) {
+		t.Fatalf("Run(2000) returned %d", end)
+	}
+	if at, ok := env.NextEventAt(); !ok || at != far {
+		t.Fatalf("after horizon run: NextEventAt = (%d, %v), want (%d, true)", at, ok, far)
+	}
+	if end := env.Run(0); end != far {
+		t.Fatalf("run to completion ended at %d, want %d", end, far)
+	}
+	if at, ok := env.NextEventAt(); ok {
+		t.Fatalf("drained env: NextEventAt = (%d, true), want none", at)
 	}
 }

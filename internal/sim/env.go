@@ -75,13 +75,15 @@ type event struct {
 // the slice so events are moved by value within one reusable backing
 // array. (container/heap would box every event into an interface value,
 // one heap allocation per scheduled event.)
-//
-// The production event store is the hierarchical timer wheel in
-// wheel.go; the heap is retained as the reference implementation the
-// wheel's differential tests execute against (see wheel_test.go), so
-// the exact (at, seq) contract stays pinned by executable code rather
-// than prose.
 type eventHeap []event
+
+// peekAt returns the earliest stored event time.
+func (h eventHeap) peekAt() (Time, bool) {
+	if len(h) == 0 {
+		return 0, false
+	}
+	return h[0].at, true
+}
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -147,14 +149,14 @@ type Hooks interface {
 // The zero value is not usable; create one with NewEnv.
 type Env struct {
 	now Time
-	// events holds future events in a hierarchical timer wheel; imm
-	// holds events scheduled at the current instant, which run in FIFO
-	// order without a wheel round-trip. The split preserves the global
-	// (at, seq) execution order exactly: a wheel event at time T was
-	// necessarily scheduled before the clock reached T (same-instant
-	// schedules go to imm), so its seq is smaller than that of every
-	// imm event, and next() runs it first.
-	events  timerWheel
+	// events holds future events in a binary heap; imm holds events
+	// scheduled at the current instant, which run in FIFO order without
+	// a heap round-trip. The split preserves the global (at, seq)
+	// execution order exactly: a heap event at time T was necessarily
+	// scheduled before the clock reached T (same-instant schedules go
+	// to imm), so its seq is smaller than that of every imm event, and
+	// next() runs it first.
+	events  eventHeap
 	imm     Ring[event]
 	seq     uint64
 	until   Time          // run horizon while running (0 = none)
@@ -212,7 +214,7 @@ func (e *Env) After(d Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) 
 // reports termination (false) when the queue is empty or the next event
 // lies beyond the run horizon. imm events are always at the current
 // instant (time cannot advance past them), so they never exceed the
-// horizon; wheel events at the current instant carry smaller seqs than
+// horizon; heap events at the current instant carry smaller seqs than
 // imm ones and run first.
 func (e *Env) next() (event, bool) {
 	at, ok := e.events.peekAt()
@@ -226,14 +228,12 @@ func (e *Env) next() (event, bool) {
 		e.now = e.until
 		return event{}, false
 	}
-	return e.events.popMin(), true
+	return e.events.pop(), true
 }
 
 // NextEventAt returns the absolute time of the earliest pending event,
 // or false if nothing is scheduled. The partition scheduler (World) uses
-// it to size windows and skip idle stretches of virtual time; the peek
-// never restructures the wheel, so it is safe between windows when
-// still-earlier arrivals may yet be scheduled over links.
+// it to size windows and skip idle stretches of virtual time.
 func (e *Env) NextEventAt() (Time, bool) {
 	if e.imm.Len() > 0 {
 		return e.now, true
@@ -354,6 +354,6 @@ func (e *Env) Close() {
 		<-e.closeCh
 	}
 	e.procs = nil
-	e.events.reset()
+	e.events = nil
 	e.imm = Ring[event]{}
 }

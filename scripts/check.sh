@@ -28,6 +28,10 @@ go run ./cmd/pslint -report-stale "$PSLINT_REPORT"
 echo "== go test ./..."
 go test ./...
 
+# perfbench/ is a nested module that ./... at the root skips.
+echo "== benchmark module: go vet + go test (perfbench/)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== trace/metrics determinism (byte-identical across runs)"
 go test -count=1 -run 'TestObsOutputByteIdenticalAcrossRuns|TestObsSpansCoverGPUAndPCIeBusyTime' ./internal/experiments
 
