@@ -74,9 +74,6 @@ func BenchmarkAblationDesignChoices(b *testing.B) { benchExperiment(b, "ablation
 // BenchmarkClusterVLB evaluates the §7 horizontal-scaling extension.
 func BenchmarkClusterVLB(b *testing.B) { benchExperiment(b, "cluster") }
 
-// BenchmarkFIBUpdate compares the §7 FIB-update strategies under churn.
-func BenchmarkFIBUpdate(b *testing.B) { benchExperiment(b, "fibupdate") }
-
 // BenchmarkRouterIPv4GPU measures a single CPU+GPU IPv4 run through the
 // public API (Gbps is reported via the experiment tables; this measures
 // simulation cost per virtual millisecond).

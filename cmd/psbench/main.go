@@ -10,21 +10,20 @@
 //	psbench -list
 //
 // Experiments: table1, launch, fig2, table3, fig5, fig6, numa,
-// fig11a-fig11d, fig12, ablation, cluster, fabric, leafspine,
-// fibupdate, faults, churn.
+// fig11a-fig11d, fig12, ablation, cluster, fabric, leafspine, faults,
+// churn.
 //
 // Each experiment point is an independent deterministic simulation, so
-// points run in parallel across -j workers; results are merged in job
-// order and the output is byte-identical to -j 1. Within the fabric
-// experiment, -p additionally advances the world's per-node partitions
-// on N goroutines under conservative link lookahead; output is
-// byte-identical to -p 1.
+// points run in parallel across -j workers (default GOMAXPROCS);
+// results are merged in job order and the output is byte-identical to
+// -j 1. Within the fabric experiment, -p additionally advances the
+// world's per-node partitions on N goroutines under conservative link
+// lookahead; output is byte-identical to -p 1.
 package main
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -34,8 +33,7 @@ import (
 
 const usage = `usage: psbench [flags] [experiment ...]
 
-  -j N       run up to N simulation jobs in parallel
-             (default: min(GOMAXPROCS, runnable jobs of the selection))
+  -j N       run up to N simulation jobs in parallel (default: GOMAXPROCS)
   -p N       advance partitioned worlds (fabric) on N goroutines (default: 1)
   -list      list available experiments
   -metrics   dump per-run metrics (counters, latency histograms, occupancy)
@@ -45,8 +43,8 @@ for any -j and any -p.`
 
 // parseArgs handles flags and positionals in any order ("psbench all
 // -j 8" must work; the stdlib flag package stops at the first
-// positional argument). jobs == 0 means no explicit -j: the caller
-// derives the default from the selection.
+// positional argument). jobs == 0 means no explicit -j, which
+// NewRunner widens to GOMAXPROCS.
 func parseArgs(argv []string) (ids []string, jobs, parts int, list, metrics bool, err error) {
 	parts = 1
 	fail := func(format string, args ...any) ([]string, int, int, bool, bool, error) {
@@ -121,29 +119,12 @@ func main() {
 	if len(ids) == 0 {
 		ids = []string{"all"}
 	}
-	// Default -j: a pool wider than the selection's runnable jobs can
-	// never fill, and a pool wider than GOMAXPROCS oversubscribes the
-	// host (measurably slower on small machines), so cap at both. The
-	// run header records the chosen value either way.
-	jdesc := fmt.Sprintf("%d", jobs)
-	if jobs == 0 {
-		runnable, err := experiments.RunnableJobs(ids...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		jobs = runtime.GOMAXPROCS(0)
-		if runnable < jobs {
-			jobs = runnable
-		}
-		jdesc = fmt.Sprintf("%d (auto: min of GOMAXPROCS %d, %d runnable jobs)",
-			jobs, runtime.GOMAXPROCS(0), runnable)
-	}
+	runner := experiments.NewRunner(jobs)
 	start := time.Now()
-	if err := experiments.NewRunner(jobs).Run(os.Stdout, ids...); err != nil {
+	if err := runner.Run(os.Stdout, ids...); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "[%s done in %v, -j %s -p %d]\n",
-		strings.Join(ids, " "), time.Since(start).Round(time.Millisecond), jdesc, parts)
+	fmt.Fprintf(os.Stderr, "[%s done in %v, -j %d -p %d]\n",
+		strings.Join(ids, " "), time.Since(start).Round(time.Millisecond), runner.Workers(), parts)
 }

@@ -21,11 +21,3 @@ func (a *IPv6Fwd) ReportMetrics(reg *obs.Registry) {
 func (g *IPsecGW) ReportMetrics(reg *obs.Registry) {
 	reg.Counter("app.ipsec.errors").Set(g.Errors)
 }
-
-// ReportMetrics implements core.MetricsReporter.
-func (t *IPsecTerm) ReportMetrics(reg *obs.Registry) {
-	reg.Counter("app.ipsecterm.bad_spi").Set(t.BadSPI)
-	reg.Counter("app.ipsecterm.auth_fail").Set(t.AuthFail)
-	reg.Counter("app.ipsecterm.replayed").Set(t.Replayed)
-	reg.Counter("app.ipsecterm.malformed").Set(t.Malformed)
-}

@@ -107,6 +107,10 @@ func TestParseScriptErrors(t *testing.T) {
 		"@1ms set opportunistic maybe",     // bad bool
 		"@1ms port 1 sideways",             // bad direction
 		"@1ms stats now",                   // trailing arg
+		"@NaNms stats",                     // not a number
+		"@infs stats",                      // infinite
+		"@1e300s stats",                    // far beyond int64 picoseconds
+		"@1e7s stats",                      // just beyond int64 picoseconds (~106 days)
 	} {
 		if _, err := ctrl.ParseScript(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseScript(%q): want error", bad)

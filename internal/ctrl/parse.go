@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -255,7 +256,8 @@ var durUnits = []struct {
 
 // parseDuration parses an integer or decimal value with a ps/ns/us/ms/s
 // unit into a virtual duration. (sim durations are picosecond integers;
-// the decimal form is rounded to the nearest picosecond.)
+// the decimal form is rounded to the nearest picosecond.) NaN, ±Inf and
+// values beyond MaxInt64 picoseconds (about 106 days) are rejected.
 func parseDuration(s string) (sim.Duration, error) {
 	for _, u := range durUnits {
 		v, ok := strings.CutSuffix(s, u.suffix)
@@ -263,10 +265,16 @@ func parseDuration(s string) (sim.Duration, error) {
 			continue
 		}
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		if err != nil || math.IsNaN(f) || f < 0 {
 			return 0, fmt.Errorf("offset %q: want a non-negative value before %q", s, u.suffix)
 		}
-		return sim.DurationFromSeconds(f * u.d.Seconds()), nil
+		secs := f * u.d.Seconds()
+		// float64(MaxInt64) rounds up to 2^63, the first count that no
+		// longer fits; +Inf lands here too.
+		if math.Round(secs*float64(sim.Second)) >= math.MaxInt64 {
+			return 0, fmt.Errorf("offset %q: beyond the largest virtual time (%d ps)", s, int64(math.MaxInt64))
+		}
+		return sim.DurationFromSeconds(secs), nil
 	}
 	return 0, fmt.Errorf("offset %q: want <value><ps|ns|us|ms|s>", s)
 }

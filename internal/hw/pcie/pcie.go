@@ -121,11 +121,6 @@ func (i *IOH) ExpressDown(bytes int) sim.Time {
 	return i.down.Now() + sim.Time(t)
 }
 
-// UpUtilization and DownUtilization report engine utilization since t0
-// (may exceed 1 transiently: reservations count when scheduled).
-func (i *IOH) UpUtilization(t0 sim.Time) float64   { return i.up.Utilization(t0) }
-func (i *IOH) DownUtilization(t0 sim.Time) float64 { return i.down.Utilization(t0) }
-
 // UpBusy exposes cumulative up-engine work (tests).
 func (i *IOH) UpBusy() sim.Duration { return i.up.BusyTime() }
 

@@ -27,6 +27,11 @@ const (
 
 	globalHeaderLen = 24
 	recordHeaderLen = 16
+
+	// maxRecordLen is libpcap's MAXIMUM_SNAPLEN. Reader rejects longer
+	// records whatever the file's snaplen claims, so a corrupt or
+	// hostile header cannot make it allocate gigabytes.
+	maxRecordLen = 262144
 )
 
 // ErrBadMagic reports a file that is not a nanosecond pcap.
@@ -134,6 +139,9 @@ func (r *Reader) Next() (Record, error) {
 	orig := binary.LittleEndian.Uint32(rec[12:16])
 	if int(incl) > r.snaplen {
 		return Record{}, fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, r.snaplen)
+	}
+	if incl > maxRecordLen {
+		return Record{}, fmt.Errorf("pcap: record length %d exceeds the %d-byte maximum", incl, maxRecordLen)
 	}
 	data := make([]byte, incl)
 	if _, err := io.ReadFull(r.r, data); err != nil {

@@ -114,6 +114,35 @@ func TestReaderEOFMidRecord(t *testing.T) {
 	}
 }
 
+// TestReaderCapsRecordLength: a header claiming snaplen 0xFFFFFFFF must
+// not let a record's incl_len size an allocation past libpcap's
+// 262,144-byte maximum; the record is refused before any payload read.
+func TestReaderCapsRecordLength(t *testing.T) {
+	stream := func(incl uint32, payload int) []byte {
+		var hdr [globalHeaderLen + recordHeaderLen]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], MagicNanos)
+		binary.LittleEndian.PutUint32(hdr[16:20], 0xFFFFFFFF)
+		binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeEthernet)
+		binary.LittleEndian.PutUint32(hdr[globalHeaderLen+8:], incl)
+		binary.LittleEndian.PutUint32(hdr[globalHeaderLen+12:], incl)
+		return append(hdr[:], make([]byte, payload)...)
+	}
+	r, err := NewReader(bytes.NewReader(stream(maxRecordLen+1, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err == nil || err == io.EOF {
+		t.Errorf("incl_len %d: err = %v, want a length error", maxRecordLen+1, err)
+	}
+	r, err = NewReader(bytes.NewReader(stream(maxRecordLen, maxRecordLen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := r.Next(); err != nil || len(rec.Data) != maxRecordLen {
+		t.Errorf("incl_len %d: got %d bytes, err %v; want the full record", maxRecordLen, len(rec.Data), err)
+	}
+}
+
 func TestRoundTripProperty(t *testing.T) {
 	f := func(payloads [][]byte, nsOffsets []uint32) bool {
 		var buf bytes.Buffer

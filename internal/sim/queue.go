@@ -102,14 +102,3 @@ func (q *Queue[T]) DrainAppend(dst []T, n int) []T {
 	}
 	return dst
 }
-
-// DrainUpTo removes and returns at most n items without blocking.
-func (q *Queue[T]) DrainUpTo(n int) []T {
-	if n > q.items.Len() {
-		n = q.items.Len()
-	}
-	if n == 0 {
-		return nil
-	}
-	return q.DrainAppend(make([]T, 0, n), n)
-}

@@ -248,25 +248,26 @@ func TestQueueTryGetTryPut(t *testing.T) {
 	}
 }
 
-func TestQueueDrainUpTo(t *testing.T) {
+func TestQueueDrainAppend(t *testing.T) {
 	env := NewEnv()
 	q := NewQueue[int](env, 0)
 	for i := 0; i < 5; i++ {
 		q.TryPut(i)
 	}
-	out := q.DrainUpTo(3)
-	if len(out) != 3 || out[0] != 0 || out[2] != 2 {
-		t.Errorf("DrainUpTo(3) = %v", out)
+	buf := []int{-1}
+	out := q.DrainAppend(buf, 3)
+	if len(out) != 4 || out[0] != -1 || out[1] != 0 || out[3] != 2 {
+		t.Errorf("DrainAppend([-1], 3) = %v, want [-1 0 1 2]", out)
 	}
 	if q.Len() != 2 {
 		t.Errorf("len after drain = %d, want 2", q.Len())
 	}
-	out = q.DrainUpTo(10)
-	if len(out) != 2 {
-		t.Errorf("DrainUpTo(10) = %v, want remaining 2", out)
+	out = q.DrainAppend(out[:0], 10)
+	if len(out) != 2 || out[0] != 3 || out[1] != 4 {
+		t.Errorf("DrainAppend(_, 10) = %v, want remaining [3 4]", out)
 	}
-	if out2 := q.DrainUpTo(4); out2 != nil {
-		t.Errorf("DrainUpTo on empty = %v, want nil", out2)
+	if out2 := q.DrainAppend(out[:0], 4); len(out2) != 0 {
+		t.Errorf("DrainAppend on empty = %v, want empty", out2)
 	}
 }
 
@@ -281,7 +282,7 @@ func TestQueueDrainWakesPutters(t *testing.T) {
 	})
 	env.Go("drainer", func(p *Proc) {
 		p.Sleep(3 * Microsecond)
-		q.DrainUpTo(1)
+		q.DrainAppend(nil, 1)
 	})
 	env.Run(0)
 	if done != Time(3*Microsecond) {

@@ -1,7 +1,7 @@
 #!/bin/sh
-# check.sh mirrors .github/workflows/ci.yml locally: build, vet, the
-# pslint determinism linters, the full test suite, and race tests on the
-# concurrency-bearing packages. This is the repository's expanded tier-1
+# check.sh mirrors .github/workflows/ci.yml locally: build, vet, gofmt,
+# the pslint determinism linters, the full test suite, and race tests on
+# the concurrency-bearing packages. This is the repository's expanded tier-1
 # verification (see ROADMAP.md); `make check` runs it.
 set -eu
 
@@ -12,6 +12,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l (every .go file formatted)"
+test -z "$(gofmt -l .)"
 
 # One invocation covers every package (./... includes internal/obs and
 # internal/faults); the JSON report then feeds the baseline staleness
@@ -70,7 +73,7 @@ go build -o "$PSBENCH_BIN" ./cmd/psbench
 cmp /tmp/psbench-churn1.$$ /tmp/psbench-churn2.$$
 rm -f "$PSBENCH_BIN" /tmp/psbench-churn[12].$$
 
-echo "== go test -race (sim, core, ctrl, cluster, pktio, faults)"
+echo "== go test -race (sim, core, ctrl, cluster, pktio, obs, faults)"
 go test -race ./internal/sim ./internal/core ./internal/ctrl ./internal/cluster ./internal/pktio ./internal/obs ./internal/faults
 
 echo "== go test -race -short (parallel experiment harness)"
